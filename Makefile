@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke fuzz-paged-smoke fuzz-irq-smoke fuzz-smp-smoke inject-smoke trace-smoke campaign-smoke campaign-chaos-smoke bench-track fidelity-track fidelity-smoke tier1 bench xtbench clean
+.PHONY: all build vet test race fuzz-smoke fuzz-paged-smoke fuzz-irq-smoke fuzz-smp-smoke inject-smoke trace-smoke campaign-smoke campaign-chaos-smoke bench-track perf-smoke fidelity-track fidelity-smoke tier1 bench xtbench clean
 
 all: tier1
 
@@ -112,6 +112,14 @@ campaign-chaos-smoke:
 # perf-relevant change with: $(GO) run ./cmd/xtbench -quick -json > BENCH_PRn.json
 bench-track:
 	$(GO) run ./cmd/xtbench -quick -json -track > /dev/null
+
+# perf-smoke runs the host-speed benchmark's fuzz-cosim workload for a few
+# seconds (perfbench exits non-zero when any op errors, diverges or times
+# out) and then the benchmark's own tests. It checks that the benchmark
+# builds and runs clean, not how fast it is.
+perf-smoke:
+	bash perfbench/run.sh --workload fuzz-cosim --seed 1 --seconds 3 --trace 0
+	$(GO) -C perfbench test ./...
 
 # fidelity-track reruns the quick calibration sweep and gates on the
 # paper-vs-measured error table: the run must carry the current schema,

@@ -7,6 +7,9 @@
 // timing-directed/functionally-backed simulator split; it preserves every
 // behaviour the paper evaluates (hit/miss ratios, prefetch overlap, coherence
 // traffic) without duplicating data storage.
+//
+// Sets are allocated on first fill, so a large cache that a short run barely
+// touches costs only the sets it uses.
 package cache
 
 // State is a MOSEI coherence state. Plain (non-coherent) caches only use
@@ -70,7 +73,7 @@ type Cache struct {
 	cfg      Config
 	sets     int
 	lineBits uint
-	lines    []Line // sets × ways
+	lines    [][]Line // one slice of ways per set; nil until first filled
 	tick     uint64
 	Stats    Stats
 }
@@ -89,7 +92,7 @@ func New(cfg Config) *Cache {
 		cfg:      cfg,
 		sets:     sets,
 		lineBits: lineBits,
-		lines:    make([]Line, sets*cfg.Ways),
+		lines:    make([][]Line, sets),
 	}
 }
 
@@ -102,15 +105,12 @@ func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 // LineAddr masks addr down to its line base.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineBits << c.lineBits }
 
-func (c *Cache) set(addr uint64) []Line {
-	idx := (addr >> c.lineBits) % uint64(c.sets)
-	return c.lines[idx*uint64(c.cfg.Ways) : (idx+1)*uint64(c.cfg.Ways)]
-}
+func (c *Cache) setIndex(addr uint64) uint64 { return (addr >> c.lineBits) % uint64(c.sets) }
 
 // Lookup finds the line holding addr without touching LRU state.
 func (c *Cache) Lookup(addr uint64) *Line {
 	tag := addr >> c.lineBits
-	set := c.set(addr)
+	set := c.lines[c.setIndex(addr)] // nil (no ways) if never filled
 	for i := range set {
 		if set[i].Valid && set[i].Tag == tag {
 			return &set[i]
@@ -130,9 +130,16 @@ func (c *Cache) Touch(l *Line) {
 	}
 }
 
-// Victim selects (and does not yet evict) the LRU way of addr's set.
+// Victim selects (and does not yet evict) the LRU way of addr's set,
+// allocating the set on first use. A set never moves once allocated, so
+// line pointers stay valid across later fills.
 func (c *Cache) Victim(addr uint64) *Line {
-	set := c.set(addr)
+	idx := c.setIndex(addr)
+	set := c.lines[idx]
+	if set == nil {
+		set = make([]Line, c.cfg.Ways)
+		c.lines[idx] = set
+	}
 	victim := &set[0]
 	for i := range set {
 		if !set[i].Valid {
@@ -192,11 +199,13 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
 
 // InvalidateAll flushes every line (icache.iall / dcache.iall custom ops).
 func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			c.lines[i].Valid = false
-			c.lines[i].State = Invalid
-			c.Stats.Invalidations++
+	for _, set := range c.lines {
+		for i := range set {
+			if set[i].Valid {
+				set[i].Valid = false
+				set[i].State = Invalid
+				c.Stats.Invalidations++
+			}
 		}
 	}
 }
@@ -204,17 +213,19 @@ func (c *Cache) InvalidateAll() {
 // CleanAll clears dirty bits, charging one writeback per dirty line
 // (dcache.call custom op).
 func (c *Cache) CleanAll() (writebacks int) {
-	for i := range c.lines {
-		l := &c.lines[i]
-		if l.Valid && (l.Dirty || l.State == Modified || l.State == Owned) {
-			l.Dirty = false
-			if l.State == Modified {
-				l.State = Exclusive
-			} else if l.State == Owned {
-				l.State = Shared
+	for _, set := range c.lines {
+		for i := range set {
+			l := &set[i]
+			if l.Valid && (l.Dirty || l.State == Modified || l.State == Owned) {
+				l.Dirty = false
+				if l.State == Modified {
+					l.State = Exclusive
+				} else if l.State == Owned {
+					l.State = Shared
+				}
+				c.Stats.Writebacks++
+				writebacks++
 			}
-			c.Stats.Writebacks++
-			writebacks++
 		}
 	}
 	return writebacks
@@ -261,11 +272,14 @@ func parityOf(tag uint64) uint8 {
 	return uint8(v & 1)
 }
 
-// ForEachValid calls fn with the base address of every valid line.
+// ForEachValid calls fn with the base address of every valid line, in
+// set-major, way-minor order.
 func (c *Cache) ForEachValid(fn func(addr uint64)) {
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			fn(c.lines[i].Tag << c.lineBits)
+	for _, set := range c.lines {
+		for i := range set {
+			if set[i].Valid {
+				fn(set[i].Tag << c.lineBits)
+			}
 		}
 	}
 }

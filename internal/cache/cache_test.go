@@ -151,3 +151,73 @@ func TestMissRateCounters(t *testing.T) {
 		t.Fatalf("miss rate = %f", s.MissRate())
 	}
 }
+
+// TestUntouchedCacheIsFree checks that sets are allocated on first fill: on a
+// fresh cache every whole-cache walk and every lookup sees nothing and
+// allocates nothing.
+func TestUntouchedCacheIsFree(t *testing.T) {
+	c := New(Config{SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, HitLatency: 10, ECC: true, Parity: true})
+	allocs := testing.AllocsPerRun(10, func() {
+		if c.Lookup(0x12340) != nil {
+			t.Fatal("fresh cache must miss")
+		}
+		c.InvalidateAll()
+		if n := c.CleanAll(); n != 0 {
+			t.Fatalf("fresh cache cleaned %d lines", n)
+		}
+		c.ForEachValid(func(addr uint64) { t.Fatalf("fresh cache has valid line %#x", addr) })
+	})
+	if allocs != 0 {
+		t.Fatalf("untouched cache allocated %.0f times per walk", allocs)
+	}
+	if c.Stats != (Stats{}) {
+		t.Fatalf("untouched cache counted events: %+v", c.Stats)
+	}
+}
+
+// TestForEachValidOrder fills lines across sets in scrambled order and
+// requires ForEachValid to visit them set-major, way-minor: ascending set
+// index, and within a set in the order the ways were filled.
+func TestForEachValidOrder(t *testing.T) {
+	const sets, ways = 64, 4
+	c := New(Config{SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64, HitLatency: 1})
+	rng := rand.New(rand.NewSource(7))
+	var bySet [sets][]uint64
+	for _, n := range rng.Perm(sets * 3) {
+		set, tagHi := n%sets, uint64(n/sets)
+		if set%5 == 0 {
+			continue // leave some sets untouched
+		}
+		addr := (tagHi*sets + uint64(set)) * 64
+		c.Fill(addr, Exclusive, 0, false)
+		bySet[set] = append(bySet[set], addr)
+	}
+	var want, got []uint64
+	for _, s := range bySet {
+		want = append(want, s...)
+	}
+	c.ForEachValid(func(addr uint64) { got = append(got, addr) })
+	if len(got) != len(want) {
+		t.Fatalf("visited %d lines, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("visit %d: got %#x, want %#x (full order %#x)", i, got[i], want[i], got)
+		}
+	}
+}
+
+// TestLinePointerStableAcrossFills holds a line pointer while other sets are
+// allocated and filled: the pointer must still address the live line.
+func TestLinePointerStableAcrossFills(t *testing.T) {
+	c := New(cfg32k())
+	c.Fill(0x40, Exclusive, 7, false)
+	l := c.Lookup(0x40)
+	for a := uint64(0x80); a < 0x80+64*64; a += 64 {
+		c.Fill(a, Shared, 0, false)
+	}
+	l.Dirty = true
+	if got := c.Lookup(0x40); got != l || !got.Dirty || got.ReadyAt != 7 {
+		t.Fatalf("line pointer went stale across fills: held %p, lookup %p %+v", l, got, got)
+	}
+}

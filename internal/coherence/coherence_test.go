@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"xt910/internal/cache"
@@ -219,5 +220,20 @@ func TestWritebackPath(t *testing.T) {
 	// at least one dirty eviction must have flowed back to L2
 	if l := l2.Cache.Lookup(0); l == nil {
 		t.Fatal("line 0 must remain in inclusive L2")
+	}
+}
+
+// TestNewL2AllocatesLazily pins the set-on-first-fill cost model: building
+// the cosim-sized L2 (2 MB, 16-way, 64 B lines — 32768 lines) must not pay
+// for the lines up front.
+func TestNewL2AllocatesLazily(t *testing.T) {
+	dram := mem.NewDRAM()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l2 := NewL2(cache.Config{SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, HitLatency: 10, ECC: true, Parity: true}, dram)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(l2)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Fatalf("NewL2 allocated %d bytes, want < 64 KB", n)
 	}
 }

@@ -752,7 +752,8 @@ type checker struct {
 
 	commits uint64
 	dirty   map[uint64]struct{} // 64-byte lines written by either model (shared across harts)
-	trace   []string            // rolling window of committed instructions
+	trace   []traceEntry        // ring of the last window commits, formatted only by report
+	head    int                 // oldest entry once the ring is full
 
 	// Interrupt-delivery bookkeeping: each model's delivery latches its
 	// cause here; the next commit — the handler's first instruction —
@@ -1071,18 +1072,26 @@ func (k *checker) coreState() emu.ArchState {
 	return s
 }
 
+// traceEntry is one commit of the report window with its commit number.
+type traceEntry struct {
+	n  uint64
+	ci core.Commit
+}
+
+// pushTrace records a commit in the window ring: it grows by append up to
+// window entries (never preallocated, since the window is caller-set), then
+// overwrites the oldest. A negative window keeps nothing.
 func (k *checker) pushTrace(ci core.Commit) {
-	line := fmt.Sprintf("#%-5d pc=%#06x  %s", k.commits, ci.PC, ci.Inst.String())
-	if ci.HasRd {
-		line += fmt.Sprintf("  => %s=%#x", ci.Inst.Rd, ci.RdVal)
+	if k.window <= 0 {
+		return
 	}
-	if ci.HasAddr {
-		line += fmt.Sprintf("  [addr=%#x]", ci.Addr)
+	e := traceEntry{k.commits, ci}
+	if len(k.trace) < k.window {
+		k.trace = append(k.trace, e)
+		return
 	}
-	k.trace = append(k.trace, line)
-	if len(k.trace) > k.window {
-		k.trace = k.trace[1:]
-	}
+	k.trace[k.head] = e
+	k.head = (k.head + 1) % k.window
 }
 
 // report renders the first divergence with its commit-trace window.
@@ -1101,8 +1110,16 @@ func (k *checker) report() string {
 	}
 	if len(k.trace) > 0 {
 		fmt.Fprintf(&b, "  last %d commits:\n", len(k.trace))
-		for _, t := range k.trace {
-			fmt.Fprintf(&b, "    %s\n", t)
+		for i := range k.trace {
+			e := k.trace[(k.head+i)%len(k.trace)]
+			fmt.Fprintf(&b, "    #%-5d pc=%#06x  %s", e.n, e.ci.PC, e.ci.Inst.String())
+			if e.ci.HasRd {
+				fmt.Fprintf(&b, "  => %s=%#x", e.ci.Inst.Rd, e.ci.RdVal)
+			}
+			if e.ci.HasAddr {
+				fmt.Fprintf(&b, "  [addr=%#x]", e.ci.Addr)
+			}
+			b.WriteByte('\n')
 		}
 	}
 	return b.String()

@@ -118,8 +118,10 @@ type Report struct {
 	Results         []FaultResult
 }
 
-// control holds one seed's clean-run measurements.
+// control holds one seed's clean-run measurements and its assembled
+// program, which the seed's fault runs reuse.
 type control struct {
+	prog    *asm.Program
 	cycles  uint64
 	failure string
 }
@@ -145,11 +147,12 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 			ID:      fmt.Sprintf("control/seed%d", seed),
 			Timeout: opts.Timeout,
 			Run: func(ctx context.Context) (any, error) {
-				r, err := cleanRun(ctx, seed, opts)
+				prog, err := seedProgram(seed, opts.Segs)
 				if err != nil {
 					return control{}, err
 				}
-				c := control{cycles: r.Cycles}
+				r := cosim.RunContext(ctx, prog, cosim.Options{})
+				c := control{prog: prog, cycles: r.Cycles}
 				if r.TimedOut {
 					c.failure = fmt.Sprintf("seed %d: control run timed out", seed)
 				} else if r.Diverged {
@@ -173,17 +176,23 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 	// Phase 2: fault runs. Parameters derive from the seed and fault ordinal
 	// only, so a re-run (at any worker count) plans the identical campaign.
 	var faults []Fault
+	jobs = nil
 	for i, seed := range opts.Seeds {
 		if ctl[i].failure != "" || ctl[i].cycles == 0 {
 			continue
 		}
+		prog := ctl[i].prog
+		maxCycles := opts.MaxCycles
+		if maxCycles == 0 {
+			maxCycles = 4*ctl[i].cycles + 20000
+		}
 		rng := rand.New(rand.NewSource(seed<<20 + 0x17ec7))
-		for f := 0; f < opts.FaultsPerSeed; f++ {
+		for n := 0; n < opts.FaultsPerSeed; n++ {
 			lo, hi := ctl[i].cycles/8, ctl[i].cycles*3/4
 			if hi <= lo {
 				hi = lo + 1
 			}
-			faults = append(faults, Fault{
+			f := Fault{
 				Seed:   seed,
 				Target: Target(rng.Intn(int(numTargets))),
 				Cycle:  lo + uint64(rng.Int63n(int64(hi-lo))),
@@ -191,28 +200,15 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 				Bit:    uint(rng.Intn(64)),
 				Index:  rng.Intn(64),
 				Addr:   uint64(rng.Intn(0x90000)),
-			})
-		}
-	}
-	jobs = make([]sched.Job, len(faults))
-	for i, f := range faults {
-		i, f := i, f
-		maxCycles := opts.MaxCycles
-		if maxCycles == 0 {
-			for j, seed := range opts.Seeds {
-				if seed == f.Seed {
-					maxCycles = 4*ctl[j].cycles + 20000
-					break
-				}
 			}
-		}
-		jobs[i] = sched.Job{
-			ID:      fmt.Sprintf("fault/seed%d/%d", f.Seed, i),
-			Timeout: opts.Timeout,
-			Run: func(ctx context.Context) (any, error) {
-				fr := runFault(ctx, f, opts, maxCycles)
-				return fr, nil
-			},
+			jobs = append(jobs, sched.Job{
+				ID:      fmt.Sprintf("fault/seed%d/%d", seed, len(faults)),
+				Timeout: opts.Timeout,
+				Run: func(ctx context.Context) (any, error) {
+					return runFault(ctx, f, prog, maxCycles), nil
+				},
+			})
+			faults = append(faults, f)
 		}
 	}
 	rep.Results = make([]FaultResult, len(faults))
@@ -227,28 +223,23 @@ func RunCampaign(ctx context.Context, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// cleanRun executes seed's program with no fault.
-func cleanRun(ctx context.Context, seed int64, opts Options) (cosim.Result, error) {
-	src, _ := cosim.GenerateSource(seed, opts.Segs, cosim.Options{})
+// seedProgram generates and assembles seed's fuzz program. The program is
+// read-only once assembled (sessions copy it into their memories), so one
+// seed's control run and fault runs share it.
+func seedProgram(seed int64, segs int) (*asm.Program, error) {
+	src, _ := cosim.GenerateSource(seed, segs, cosim.Options{})
 	prog, err := asm.Assemble(src, asm.Options{Base: 0x1000, Compress: true})
 	if err != nil {
-		return cosim.Result{}, fmt.Errorf("seed %d: %w", seed, err)
+		return nil, fmt.Errorf("seed %d: %w", seed, err)
 	}
-	return cosim.RunContext(ctx, prog, cosim.Options{}), nil
+	return prog, nil
 }
 
-// runFault executes one fault run: step to the injection cycle, flip the bit
-// (with a bounded retry while the target is transiently unavailable), run the
-// program out and classify.
-func runFault(ctx context.Context, f Fault, opts Options, maxCycles uint64) FaultResult {
+// runFault executes one fault run of f.Seed's assembled program: step to the
+// injection cycle, flip the bit (with a bounded retry while the target is
+// transiently unavailable), run the program out and classify.
+func runFault(ctx context.Context, f Fault, prog *asm.Program, maxCycles uint64) FaultResult {
 	fr := FaultResult{Fault: f, Outcome: NotInjected}
-	src, _ := cosim.GenerateSource(f.Seed, opts.Segs, cosim.Options{})
-	prog, err := asm.Assemble(src, asm.Options{Base: 0x1000, Compress: true})
-	if err != nil {
-		fr.Outcome = Crashed
-		fr.Err = err.Error()
-		return fr
-	}
 	s := cosim.NewSession(prog, cosim.Options{MaxCycles: maxCycles})
 	for !s.Done() && s.Cycles() < f.Cycle {
 		s.Step()

@@ -58,8 +58,11 @@ func TestCampaignDeterministic(t *testing.T) {
 // spread of cycles and bits: every fault must be Detected, Masked or (when
 // the run ends first) NotInjected — Silent would be a checker coverage hole.
 func TestArchRegFaultsNeverSilent(t *testing.T) {
-	opts := Options{Timeout: 2 * time.Minute}
 	for seed := int64(1); seed <= 3; seed++ {
+		prog, err := seedProgram(seed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, cycle := range []uint64{50, 400, 1500} {
 			f := Fault{
 				Seed:   seed,
@@ -68,7 +71,7 @@ func TestArchRegFaultsNeverSilent(t *testing.T) {
 				Reg:    1 + int(seed*7+int64(i*11))%63,
 				Bit:    uint(i * 13 % 64),
 			}
-			fr := runFault(context.Background(), f, opts, 200_000)
+			fr := runFault(context.Background(), f, prog, 200_000)
 			switch fr.Outcome {
 			case Detected, Masked, NotInjected:
 			default:
