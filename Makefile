@@ -31,7 +31,7 @@ fuzz-smoke:
 # (identity mapping plus a +1GB alias window), which adds page-crossing,
 # page-fault and VA-vs-PA reservation segments to the generated programs.
 fuzz-paged-smoke:
-	$(GO) run ./cmd/xtfuzz -paged -n 60 -seed 1
+	$(GO) run ./cmd/xtfuzz -modes paged -n 60 -seed 1
 	$(GO) test -race -count=1 -run 'TestPagedFixedSeeds|TestPagedDeterministic' ./internal/cosim
 
 # fuzz-irq-smoke repeats the sweep with the asynchronous-interrupt protocol
@@ -39,7 +39,7 @@ fuzz-paged-smoke:
 # into both models, so delivery points, mcause/mepc/mstatus CSR state and
 # SquashInterrupt recovery are checked in lock step.
 fuzz-irq-smoke:
-	$(GO) run ./cmd/xtfuzz -irq -n 60 -seed 1
+	$(GO) run ./cmd/xtfuzz -modes irq -n 60 -seed 1
 	$(GO) test -race -count=1 -run 'TestIRQFixedSeeds|TestIRQDeterministic|TestIRQSquashInterruptInFlight' ./internal/cosim
 
 # fuzz-smp-smoke repeats the sweep under the SPMD multi-hart profile: every
@@ -65,8 +65,8 @@ fuzz-smp-smoke:
 INJECT_SMOKE_DIR := .inject-smoke
 inject-smoke:
 	@mkdir -p $(INJECT_SMOKE_DIR)
-	$(GO) run ./cmd/xtinject -seeds 6 -faults 6 -jobs 1 > $(INJECT_SMOKE_DIR)/a.txt
-	$(GO) run ./cmd/xtinject -seeds 6 -faults 6 > $(INJECT_SMOKE_DIR)/b.txt
+	$(GO) run ./cmd/xtinject -n 6 -faults 6 -jobs 1 > $(INJECT_SMOKE_DIR)/a.txt
+	$(GO) run ./cmd/xtinject -n 6 -faults 6 > $(INJECT_SMOKE_DIR)/b.txt
 	cmp $(INJECT_SMOKE_DIR)/a.txt $(INJECT_SMOKE_DIR)/b.txt
 	@rm -rf $(INJECT_SMOKE_DIR)
 

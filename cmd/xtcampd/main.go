@@ -1,18 +1,16 @@
 // Command xtcampd is the campaign daemon: a sharded, resumable front end for
 // the xtfuzz / xtinject / xtbench campaign tools behind an HTTP/JSON API
 // (internal/campaign). It is also the distributed coordinator: remote
-// xtworker processes pull shard leases over the same API, and xtcampd itself
-// can run as a worker with -worker.
+// xtworker processes pull shard leases over the same API.
 //
 // Usage:
 //
 //	xtcampd                          # listen on 127.0.0.1:8910, state in ./xtcampd.state
 //	xtcampd -addr 127.0.0.1:0        # ephemeral port (printed on stderr)
 //	xtcampd -state /var/lib/xtcamp   # durable state directory
-//	xtcampd -jobs 4                  # default per-shard worker width
+//	xtcampd -jobs 4                  # in-process executor's item pool width
 //	xtcampd -lease-ttl 10s           # shard lease TTL (missed heartbeats expire it)
 //	xtcampd -local=false             # pure coordinator: shards only run on workers
-//	xtcampd -worker -coordinator http://camp:8910   # run as a worker instead
 //
 // Quickstart (see README.md for the full walkthrough):
 //
@@ -21,10 +19,12 @@
 //	curl localhost:8910/api/v1/campaigns/c0001/report     # merged JSONL when done
 //	curl localhost:8910/api/v1/campaigns/c0001/repro/17   # shrunken reproducer
 //
-// Every finished work item is journaled to the state directory before the
-// daemon acknowledges it, so a killed daemon — SIGKILL included — resumes on
-// restart without re-running finished seeds, and the resumed campaign's
-// merged report is byte-identical to an uninterrupted run. The same holds
+// Finished work items are journaled to the state directory as they stream in
+// on worker heartbeats (every lease TTL/3, the daemon's own in-process
+// executor included), so a killed daemon — SIGKILL included — resumes on
+// restart re-running at most the items of its last heartbeat interval, and
+// the resumed campaign's merged report is byte-identical to an uninterrupted
+// run. The same holds
 // for killed workers: their leases expire, the shard requeues, and
 // keep-first journal dedup makes the at-least-once re-run invisible in the
 // report. When no workers ever connect, the daemon runs every shard itself.
@@ -60,48 +60,18 @@ func run(args []string, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:8910", "listen address (host:0 picks an ephemeral port)")
 	state := fs.String("state", "xtcampd.state", "state directory (campaign journals, reports, corpus)")
 	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0),
-		"default per-shard worker width (reports identical at any width)")
+		"in-process executor's item pool width (reports identical at any width)")
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second,
 		"shard lease TTL; a worker silent this long loses the shard back to the queue")
 	local := fs.Bool("local", true,
 		"run shards in-process when no remote worker is live (false: pure coordinator)")
 	localGrace := fs.Duration("local-grace", 0,
 		"how long the in-process executor waits for remote workers before picking up shards")
-	worker := fs.Bool("worker", false, "run as a campaign worker instead of a coordinator")
-	coordinator := fs.String("coordinator", "", "coordinator base URL (with -worker)")
-	workerID := fs.String("id", "", "worker identity (with -worker; default host-pid)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	logger := log.New(stderr, "", log.LstdFlags)
-
-	if *worker {
-		if *coordinator == "" {
-			fmt.Fprintln(stderr, "xtcampd: -worker needs -coordinator")
-			return 2
-		}
-		id := *workerID
-		if id == "" {
-			host, _ := os.Hostname()
-			if host == "" {
-				host = "xtcampd"
-			}
-			id = fmt.Sprintf("%s-%d", host, os.Getpid())
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() { <-sig; cancel() }()
-		logger.Printf("xtcampd: worker mode id=%s coordinator=%s", id, *coordinator)
-		if err := campaign.RunWorker(ctx, campaign.WorkerOptions{
-			Coordinator: *coordinator, ID: id, Jobs: *jobs, Logf: logger.Printf,
-		}); err != nil {
-			fmt.Fprintf(stderr, "xtcampd: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 
 	eng, err := campaign.Open(campaign.Options{
 		StateDir:     *state,

@@ -22,9 +22,6 @@
 //	xtfuzz -repro case.s       # re-run one (shrunk) program under the checker
 //	xtfuzz -modes paged -repro c.s  # ...under the paged profile
 //
-// The flags -paged, -irq and -budget remain as deprecated aliases for
-// -modes paged, -modes irq and -timeout.
-//
 // Every divergence prints the first-mismatch report, a windowed commit
 // trace, and a minimized reproducer program. A watchdog-killed seed is
 // reported as status "timeout" and does NOT fail the run. Exit status: 0
@@ -58,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cf.RegisterPool(fs)
 	cf.RegisterJSON(fs)
 	cf.RegisterTimeout(fs, 0,
-		"per-seed wall-clock watchdog (0 = none; timed-out seeds retry once at 2x)", "budget")
-	ms.Register(fs, true)
+		"per-seed wall-clock watchdog (0 = none; timed-out seeds retry once at 2x)")
+	ms.Register(fs)
 	segs := fs.Int("segs", 0, "segments per program (0 = default)")
 	cycles := fs.Uint64("cycles", 0, "per-program cycle budget (0 = default)")
 	harts := fs.Int("harts", 0, "hart pairs for -modes smp (0 = default 2, max 4)")

@@ -8,14 +8,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"xt910/internal/sched"
+	"xt910/internal/retry"
 )
 
 // Campaign statuses.
@@ -27,16 +26,20 @@ const (
 )
 
 // localWorkerID names the coordinator's in-process fallback executor in the
-// lease registry and the /progress view.
+// lease registry and the /progress view. Remote workers may not use it.
 const localWorkerID = "local"
+
+// dispatchTick is the dispatcher's lease-expiry period and the in-process
+// executor's idle poll interval.
+const dispatchTick = 20 * time.Millisecond
 
 // Options configures an Engine.
 type Options struct {
 	// StateDir holds every campaign's manifest, journals and report plus the
 	// divergence corpus and the fencing-token counter. Required.
 	StateDir string
-	// Jobs is the per-shard worker width for specs that leave Jobs at 0
-	// (<= 0: GOMAXPROCS). Any width produces the identical merged report.
+	// Jobs is the in-process executor's item pool width (<= 0: the spec's
+	// Jobs, then GOMAXPROCS). Any width produces the identical merged report.
 	Jobs int
 	// Runner substitutes the item executor (tests); nil selects the real
 	// tool runner.
@@ -80,14 +83,13 @@ type Engine struct {
 	nextID    int
 	draining  bool
 
-	workersMu   sync.Mutex
-	workers     map[string]time.Time // remote worker ID -> last contact
-	lastRemote  time.Time            // last contact from any remote worker
-	bootTime    time.Time
-	ctx         context.Context
-	cancel      context.CancelFunc
-	wg          sync.WaitGroup
-	dispatchNow chan struct{} // kick the dispatcher (submit, expiry interest)
+	workersMu  sync.Mutex
+	workers    map[string]time.Time // remote worker ID -> last contact
+	lastRemote time.Time            // last contact from any remote worker
+	bootTime   time.Time
+	ctx        context.Context
+	cancel     context.CancelFunc
+	wg         sync.WaitGroup
 }
 
 // state is one campaign's in-memory state, rebuilt from the journals on
@@ -109,13 +111,10 @@ type state struct {
 }
 
 // Open loads the state directory, resumes unfinished campaigns and starts
-// the dispatcher loop.
+// the dispatcher loop and, unless DisableLocal, the in-process executor.
 func Open(opts Options) (*Engine, error) {
 	if opts.StateDir == "" {
 		return nil, fmt.Errorf("campaign: Options.StateDir is required")
-	}
-	if opts.Jobs <= 0 {
-		opts.Jobs = runtime.GOMAXPROCS(0)
 	}
 	if opts.Runner == nil {
 		opts.Runner = toolRunner{}
@@ -142,17 +141,16 @@ func Open(opts Options) (*Engine, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
-		opts:        opts,
-		corpus:      corpus,
-		leases:      newLeaseRegistry(opts.LeaseTTL, opts.clock, fence),
-		now:         opts.clock,
-		campaigns:   make(map[string]*state),
-		nextID:      1,
-		workers:     make(map[string]time.Time),
-		bootTime:    opts.clock(),
-		ctx:         ctx,
-		cancel:      cancel,
-		dispatchNow: make(chan struct{}, 1),
+		opts:      opts,
+		corpus:    corpus,
+		leases:    newLeaseRegistry(opts.LeaseTTL, opts.clock, fence),
+		now:       opts.clock,
+		campaigns: make(map[string]*state),
+		nextID:    1,
+		workers:   make(map[string]time.Time),
+		bootTime:  opts.clock(),
+		ctx:       ctx,
+		cancel:    cancel,
 	}
 	if err := e.loadAll(); err != nil {
 		cancel()
@@ -160,6 +158,14 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e.wg.Add(1)
 	go e.dispatcher()
+	if !opts.DisableLocal {
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			runWorker(e.ctx, WorkerOptions{ID: localWorkerID, Jobs: opts.Jobs,
+				Runner: opts.Runner, Poll: dispatchTick, Logf: opts.Logf}, localCoordinator{e})
+		}()
+	}
 	return e, nil
 }
 
@@ -257,15 +263,6 @@ func (e *Engine) registerShards(st *state) {
 			e.leases.Enqueue(shardRef{Campaign: st.id, Shard: si})
 		}
 	}
-	e.kick()
-}
-
-// kick nudges the dispatcher without blocking.
-func (e *Engine) kick() {
-	select {
-	case e.dispatchNow <- struct{}{}:
-	default:
-	}
 }
 
 // Submit validates and admits a campaign, returning its ID. The manifest is
@@ -305,11 +302,15 @@ func (e *Engine) Submit(spec *Spec) (string, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch: remote lease protocol + local fallback executor.
+// Dispatch: lease expiry, remote-worker liveness and the local fallback.
 
 // touchWorker records remote-worker contact (lease poll, heartbeat or
-// complete) for the liveness view.
+// complete) for the liveness view. The in-process executor is not a remote
+// worker and never counts as one.
 func (e *Engine) touchWorker(id string) {
+	if id == localWorkerID {
+		return
+	}
 	now := e.now()
 	e.workersMu.Lock()
 	e.workers[id] = now
@@ -341,9 +342,6 @@ func (e *Engine) WorkerCount() int { return e.liveWorkers() }
 // since the later of boot and the last remote contact — so a briefly
 // partitioned fleet gets first refusal on its own shards.
 func (e *Engine) localMayRun() bool {
-	if e.opts.DisableLocal {
-		return false
-	}
 	if e.liveWorkers() > 0 {
 		return false
 	}
@@ -356,36 +354,49 @@ func (e *Engine) localMayRun() bool {
 	return e.now().Sub(since) >= e.opts.LocalGrace
 }
 
-// dispatcher is the engine's background loop: it reaps expired leases
-// (requeueing their shards) and, when no remote fleet is live, executes
-// pending shards in-process one at a time — PR 8's local execution path,
-// now just another lease-holding worker.
+// dispatcher is the engine's background loop: it reaps expired leases,
+// requeueing their shards.
 func (e *Engine) dispatcher() {
 	defer e.wg.Done()
-	tick := time.NewTicker(20 * time.Millisecond)
+	tick := time.NewTicker(dispatchTick)
 	defer tick.Stop()
 	for {
 		select {
 		case <-e.ctx.Done():
 			return
 		case <-tick.C:
-		case <-e.dispatchNow:
 		}
 		for _, l := range e.leases.ExpireStale() {
 			e.opts.Logf("campaign: lease expired: %s worker=%s token=%d (requeued)",
 				l.ref, l.worker, l.token)
 		}
-		for e.localMayRun() {
-			l, err := e.leases.Acquire(localWorkerID)
-			if err != nil {
-				break // no pending work
-			}
-			e.runLocalShard(l)
-			if e.ctx.Err() != nil {
-				return
-			}
-		}
 	}
+}
+
+// localCoordinator is the engine's in-process coordinator for its own
+// executor, which runs the same worker loop as a remote xtworker. It grants
+// work only while localMayRun allows. In-process calls cannot fail
+// transiently, so every error is permanent.
+type localCoordinator struct{ e *Engine }
+
+func (c localCoordinator) lease(context.Context) (*LeaseGrant, error) {
+	if !c.e.localMayRun() {
+		return nil, nil
+	}
+	g, err := c.e.AcquireShard(localWorkerID)
+	if errors.Is(err, ErrNoWork) {
+		return nil, nil
+	}
+	return g, err
+}
+
+func (c localCoordinator) heartbeat(_ context.Context, g *LeaseGrant, entries []journalEntry) error {
+	_, err := c.e.HeartbeatShard(localWorkerID, g.Campaign, g.Shard, g.Token, entries)
+	return retry.Permanent(err)
+}
+
+func (c localCoordinator) complete(_ context.Context, g *LeaseGrant, entries []journalEntry, errMsg string) error {
+	return retry.Permanent(c.e.CompleteShard(localWorkerID, g.Campaign, g.Shard, g.Token, entries, errMsg))
 }
 
 // stateFor returns a campaign's in-memory state.
@@ -469,6 +480,9 @@ func (e *Engine) applyEntries(st *state, si int, entries []journalEntry) error {
 		return err
 	}
 	defer jw.Close()
+	// Manifest order, not pool completion order: which seed of a batch
+	// founds a corpus signature must not depend on scheduling.
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Index < entries[j].Index })
 	for _, en := range entries {
 		if !valid[en.Index] {
 			return fmt.Errorf("campaign: %s shard %d: entry index %d outside manifest", st.id, si, en.Index)
@@ -525,106 +539,6 @@ func (e *Engine) fail(st *state, err error) {
 	e.leases.Remove(st.id)
 }
 
-// runLocalShard executes one leased shard in-process: pending items on a
-// sched pool, every finished item journaled from OnResult (which sched
-// serializes), the lease renewed on a heartbeat ticker exactly like a remote
-// worker's. Cancellation mid-shard requeues the lease and leaves the
-// journals as the resume point.
-func (e *Engine) runLocalShard(l *lease) {
-	st, ok := e.stateFor(l.ref.Campaign)
-	if !ok {
-		e.leases.Complete(l.ref, l.token)
-		return
-	}
-	st.markRunning(time.Now())
-	si := l.ref.Shard
-	pending, _ := st.pendingItems(si)
-	if len(pending) == 0 {
-		e.completeShard(st, l.ref, l.token)
-		return
-	}
-
-	width := st.spec.Jobs
-	if width <= 0 {
-		width = e.opts.Jobs
-	}
-	jw, err := openJournal(shardJournalPath(st.dir, si))
-	if err != nil {
-		e.fail(st, err)
-		return
-	}
-
-	// Renew the local lease on the same cadence a remote worker would; the
-	// registry treats the in-process executor like any other leaseholder.
-	hbStop := make(chan struct{})
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		t := time.NewTicker(e.opts.LeaseTTL / 3)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbStop:
-				return
-			case <-t.C:
-				if _, err := e.leases.Renew(l.ref, l.token); err != nil {
-					e.opts.Logf("campaign: local lease on %s lost: %v", l.ref, err)
-					return
-				}
-			}
-		}
-	}()
-
-	jobs := make([]sched.Job, len(pending))
-	for j, it := range pending {
-		it := it
-		jobs[j] = sched.Job{
-			ID: fmt.Sprintf("%s/shard%d/%s", st.id, si, it.Key()),
-			Run: func(ctx context.Context) (any, error) {
-				res, err := e.opts.Runner.Run(ctx, st.spec, it)
-				return res, err
-			},
-		}
-	}
-	var itemErr error
-	rs := sched.Run(e.ctx, jobs, sched.Options{
-		Workers: width,
-		OnResult: func(j int, r sched.Result) {
-			if r.Err != nil {
-				return // cancellation or item failure: nothing durable to record
-			}
-			res := r.Value.(ItemResult)
-			en := journalEntry{Index: pending[j].Index, Line: res.Line, Div: res.Div, Instrs: r.Instrs}
-			if _, err := e.applyEntry(jw, st, si, en); err != nil && itemErr == nil {
-				itemErr = err
-			}
-		},
-	})
-	jw.Close()
-	close(hbStop)
-	hbWG.Wait()
-	if e.ctx.Err() != nil {
-		st.mu.Lock()
-		st.status = StatusQueued // resumes from the journals on restart
-		if !st.started.IsZero() {
-			st.wall += time.Since(st.started)
-			st.started = time.Time{}
-		}
-		st.mu.Unlock()
-		e.leases.Requeue(l.ref, l.token)
-		return
-	}
-	if itemErr == nil {
-		itemErr = sched.FirstError(rs)
-	}
-	if itemErr != nil {
-		e.fail(st, itemErr)
-		return
-	}
-	e.completeShard(st, l.ref, l.token)
-}
-
 // completeShard releases the lease and, when the shard's journal really
 // covers every item, checks the campaign for completion. A "complete" on a
 // shard with missing items (a buggy or fenced-off worker) requeues the shard
@@ -636,7 +550,6 @@ func (e *Engine) completeShard(st *state, ref shardRef, token uint64) error {
 	if !st.shardComplete(ref.Shard) {
 		e.opts.Logf("campaign: %s completed with items missing; requeued", ref)
 		e.leases.Enqueue(ref)
-		e.kick()
 		return fmt.Errorf("campaign: %s: complete with items missing; requeued", ref)
 	}
 	e.maybeFinish(st)
@@ -715,7 +628,7 @@ func (e *Engine) HeartbeatShard(workerID, campaignID string, shard int, token ui
 // CompleteShard finishes a worker's shard: journal the final entries, fence-
 // check the token, release the lease and (perhaps) finalize the campaign.
 // workerErr marks the shard failed on the worker; a valid token then fails
-// the whole campaign, matching the local executor's item-error semantics.
+// the whole campaign.
 func (e *Engine) CompleteShard(workerID, campaignID string, shard int, token uint64, entries []journalEntry, workerErr string) error {
 	e.touchWorker(workerID)
 	ref := shardRef{Campaign: campaignID, Shard: shard}
@@ -763,9 +676,9 @@ func (st *state) writeReport() error {
 
 // Close drains the engine: new submissions are rejected, the in-flight local
 // shard is cancelled at the next item boundary (its finished items are
-// already journaled), and the dispatcher exits. Remote leases are left to
-// age out; their shards requeue when a restarted coordinator reloads the
-// journals. Safe to call more than once.
+// journaled in one last heartbeat), and the dispatcher exits. Leases are
+// left to age out; their shards requeue when a restarted coordinator reloads
+// the journals. Safe to call more than once.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.draining = true

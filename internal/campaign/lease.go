@@ -202,22 +202,6 @@ func (lr *leaseRegistry) Remove(campaignID string) {
 	}
 }
 
-// Requeue returns a leased shard to the pending queue (local drain path:
-// the engine gives the shard back rather than letting the lease age out).
-func (lr *leaseRegistry) Requeue(ref shardRef, token uint64) {
-	lr.mu.Lock()
-	defer lr.mu.Unlock()
-	l := lr.leased[ref]
-	if l == nil || l.token != token {
-		return
-	}
-	delete(lr.leased, ref)
-	if !lr.queued[ref] {
-		lr.pending = append(lr.pending, ref)
-		lr.queued[ref] = true
-	}
-}
-
 // Pending reports how many shards await dispatch.
 func (lr *leaseRegistry) Pending() int {
 	lr.mu.Lock()

@@ -256,8 +256,8 @@ func decodeShardMessage(w http.ResponseWriter, r *http.Request) (shardMessage, b
 		http.Error(w, err.Error(), status)
 		return msg, false
 	}
-	if msg.Worker == "" || msg.Campaign == "" {
-		http.Error(w, "campaign: worker and campaign are required", http.StatusBadRequest)
+	if msg.Worker == "" || msg.Worker == localWorkerID || msg.Campaign == "" {
+		http.Error(w, "campaign: a non-reserved worker id and a campaign are required", http.StatusBadRequest)
 		return msg, false
 	}
 	return msg, true

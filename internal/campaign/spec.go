@@ -30,8 +30,9 @@ type Spec struct {
 	Tool string `json:"tool"`
 
 	// Knobs is the uniform knob set. N/Seed span the seed range (fuzz and
-	// inject), Jobs is the per-shard worker width (0: server default; the
-	// report is identical at any width), Timeout is the per-seed watchdog,
+	// inject), Jobs is the per-shard pool width when the executing worker
+	// sets none (0: GOMAXPROCS; the report is identical at any width),
+	// Timeout is the per-seed watchdog,
 	// Modes the fuzz mode spec.
 	cliflags.Knobs
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -17,8 +18,8 @@ import (
 	"xt910/internal/sched"
 )
 
-// WorkerOptions configures one campaign worker process (cmd/xtworker,
-// xtcampd -worker, or an in-process worker in tests).
+// WorkerOptions configures one campaign worker process (cmd/xtworker, or an
+// in-process worker in tests).
 type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL (http://host:port). Required.
 	Coordinator string
@@ -55,13 +56,9 @@ type WorkerOptions struct {
 	DropHeartbeat func() bool
 }
 
-// RunWorker pulls shard leases from the coordinator and executes them until
-// ctx ends (or MaxShards is reached): items run on a sched pool through the
-// same Runner entry points the local executor uses, finished entries stream
-// back on every heartbeat, and the final batch rides the /complete call.
-// Transient coordinator failures back off on the seeded retry schedule; a
-// fencing rejection (409) abandons the shard immediately — some newer lease
-// owns it, and at-least-once re-execution is safe by journal keep-first.
+// RunWorker pulls shard leases from the coordinator at opts.Coordinator and
+// executes them until ctx ends (or MaxShards is reached). It runs the same
+// loop as the coordinator's own in-process executor, only over HTTP.
 func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if opts.Coordinator == "" || opts.ID == "" {
 		return fmt.Errorf("campaign: worker needs Coordinator and ID")
@@ -69,11 +66,22 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if opts.ID == localWorkerID {
 		return fmt.Errorf("campaign: worker id %q is reserved", localWorkerID)
 	}
-	if opts.Runner == nil {
-		opts.Runner = toolRunner{}
-	}
 	if opts.Client == nil {
 		opts.Client = &http.Client{Timeout: 30 * time.Second}
+	}
+	runWorker(ctx, opts, &httpCoordinator{base: opts.Coordinator, id: opts.ID, client: opts.Client})
+	return nil
+}
+
+// runWorker is the one shard executor: items run on a sched pool through
+// the Runner, finished entries stream back on every heartbeat, and the final
+// batch rides the complete call. Transient coordinator failures back off on
+// the seeded retry schedule; a fencing rejection (ErrLeaseLost) abandons the
+// shard immediately — some newer lease owns it, and at-least-once
+// re-execution is safe by journal keep-first.
+func runWorker(ctx context.Context, opts WorkerOptions, coord coordinator) {
+	if opts.Runner == nil {
+		opts.Runner = toolRunner{}
 	}
 	if opts.Poll <= 0 {
 		opts.Poll = 500 * time.Millisecond
@@ -90,14 +98,11 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		opts.Logf = func(string, ...any) {}
 	}
 
-	w := &worker{opts: opts, backoff: retry.New(opts.Retry, opts.Seed)}
+	w := &worker{opts: opts, coord: coord, backoff: retry.New(opts.Retry, opts.Seed)}
 	completed := 0
 	for ctx.Err() == nil {
-		grant, err := w.lease(ctx)
+		grant, err := coord.lease(ctx)
 		if err != nil {
-			if ctx.Err() != nil {
-				break
-			}
 			w.sleepBackoff(ctx)
 			continue
 		}
@@ -113,14 +118,11 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 			break
 		}
 	}
-	if ctx.Err() != nil {
-		return nil
-	}
-	return nil
 }
 
 type worker struct {
 	opts    WorkerOptions
+	coord   coordinator
 	backoff *retry.Backoff
 }
 
@@ -147,60 +149,88 @@ func (w *worker) sleepBackoff(ctx context.Context) {
 	w.sleep(ctx, w.backoffDelay())
 }
 
-// statusError carries a non-2xx coordinator reply.
-type statusError struct {
-	code int
-	body string
+// coordinator is the worker loop's side of the shard lease protocol. The
+// HTTP client serves remote workers; the Engine's localCoordinator serves
+// its own in-process executor. Errors that must not be retried are wrapped
+// with retry.Permanent.
+type coordinator interface {
+	// lease grants the oldest pending shard; a nil grant means no work.
+	lease(ctx context.Context) (*LeaseGrant, error)
+	// heartbeat renews g's lease and journals entries. A fenced-off token
+	// yields an error wrapping ErrLeaseLost.
+	heartbeat(ctx context.Context, g *LeaseGrant, entries []journalEntry) error
+	// complete journals the final entries and releases the lease; a
+	// non-empty errMsg fails the campaign instead.
+	complete(ctx context.Context, g *LeaseGrant, entries []journalEntry, errMsg string) error
 }
 
-func (e *statusError) Error() string {
-	return fmt.Sprintf("campaign: coordinator replied %d: %s", e.code, e.body)
+// httpCoordinator speaks the /api/v1 worker protocol to a remote xtcampd.
+type httpCoordinator struct {
+	base   string
+	id     string
+	client *http.Client
 }
 
-// post sends one JSON request. Network errors and 5xx are transient (retry);
-// 409 is the fencing rejection; other 4xx are protocol errors.
-func (w *worker) post(ctx context.Context, path string, body, out any) (int, error) {
+func (c *httpCoordinator) lease(ctx context.Context) (*LeaseGrant, error) {
+	var grant LeaseGrant
+	code, err := c.post(ctx, "/api/v1/lease", leaseRequest{Worker: c.id}, &grant)
+	if err != nil || code == http.StatusNoContent {
+		return nil, err
+	}
+	return &grant, nil
+}
+
+func (c *httpCoordinator) heartbeat(ctx context.Context, g *LeaseGrant, entries []journalEntry) error {
+	_, err := c.post(ctx, "/api/v1/heartbeat", shardMessage{Worker: c.id, Campaign: g.Campaign,
+		Shard: g.Shard, Token: g.Token, Entries: entries}, nil)
+	return err
+}
+
+func (c *httpCoordinator) complete(ctx context.Context, g *LeaseGrant, entries []journalEntry, errMsg string) error {
+	_, err := c.post(ctx, "/api/v1/complete", shardMessage{Worker: c.id, Campaign: g.Campaign,
+		Shard: g.Shard, Token: g.Token, Entries: entries, Error: errMsg}, nil)
+	return err
+}
+
+// post sends one JSON request and classifies the reply: 409 is the fencing
+// rejection (ErrLeaseLost), other 4xx except 429 are permanent protocol
+// errors, and network errors, 429 and 5xx are transient.
+func (c *httpCoordinator) post(ctx context.Context, path string, body, out any) (int, error) {
 	b, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		w.opts.Coordinator+path, bytes.NewReader(b))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(b))
 	if err != nil {
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.opts.Client.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		return resp.StatusCode, nil
+	code := resp.StatusCode
+	if code == http.StatusNoContent {
+		return code, nil
 	}
-	if resp.StatusCode/100 != 2 {
+	if code/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return resp.StatusCode, &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
+		err := fmt.Errorf("campaign: coordinator replied %d: %s", code, bytes.TrimSpace(msg))
+		switch {
+		case code == http.StatusConflict:
+			return code, retry.Permanent(fmt.Errorf("%w (%v)", ErrLeaseLost, err))
+		case code/100 == 4 && code != http.StatusTooManyRequests:
+			return code, retry.Permanent(err)
+		}
+		return code, err
 	}
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, err
+			return code, err
 		}
 	}
-	return resp.StatusCode, nil
-}
-
-// lease asks for a shard. nil grant (no error) means no work is pending.
-func (w *worker) lease(ctx context.Context) (*LeaseGrant, error) {
-	var grant LeaseGrant
-	code, err := w.post(ctx, "/api/v1/lease", leaseRequest{Worker: w.opts.ID}, &grant)
-	if err != nil {
-		return nil, err
-	}
-	if code == http.StatusNoContent {
-		return nil, nil
-	}
-	return &grant, nil
+	return code, nil
 }
 
 // entryBuffer accumulates finished entries between heartbeats.
@@ -275,9 +305,15 @@ func flattenBatches(batches [][]journalEntry) []journalEntry {
 	return out
 }
 
+// drainFlushTimeout bounds the last heartbeat a cancelled worker makes to
+// hand over its finished entries.
+const drainFlushTimeout = 2 * time.Second
+
 // runShard executes one leased shard: the not-yet-done items on a sched
 // pool, heartbeats (with streamed entries) every TTL/3, the remainder on
-// /complete. A fenced-off heartbeat cancels the run mid-shard.
+// complete. A fenced-off heartbeat cancels the run mid-shard. When ctx ends
+// mid-shard, one last heartbeat hands the finished entries over so they are
+// journaled; the shard itself resumes elsewhere or on restart.
 func (w *worker) runShard(ctx context.Context, g *LeaseGrant) {
 	ttl := time.Duration(g.TTLMS) * time.Millisecond
 	if ttl <= 0 {
@@ -293,7 +329,7 @@ func (w *worker) runShard(ctx context.Context, g *LeaseGrant) {
 			pending = append(pending, it)
 		}
 	}
-	w.opts.Logf("xtworker %s: leased %s/shard%d token=%d (%d/%d items pending)",
+	w.opts.Logf("worker %s: leased %s/shard%d token=%d (%d/%d items pending)",
 		w.opts.ID, g.Campaign, g.Shard, g.Token, len(pending), len(g.Items))
 
 	width := w.opts.Jobs
@@ -312,8 +348,8 @@ func (w *worker) runShard(ctx context.Context, g *LeaseGrant) {
 	// Heartbeat loop: renew the lease and stream the entries finished since
 	// the last beat, in batches bounded under the coordinator's request cap.
 	// Transient failures put the unsent entries back and try again next tick
-	// (the TTL gives us ~3 misses of slack); a 409 means the token is fenced
-	// off — abandon the shard, the work re-runs elsewhere.
+	// (the TTL gives us ~3 misses of slack); a fenced-off token means some
+	// newer lease owns the shard — abandon it, the work re-runs elsewhere.
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	go func() {
@@ -327,20 +363,18 @@ func (w *worker) runShard(ctx context.Context, g *LeaseGrant) {
 			case <-t.C:
 			}
 			if w.opts.DropHeartbeat != nil && w.opts.DropHeartbeat() {
-				w.opts.Logf("xtworker %s: chaos: dropping heartbeat for %s/shard%d",
+				w.opts.Logf("worker %s: chaos: dropping heartbeat for %s/shard%d",
 					w.opts.ID, g.Campaign, g.Shard)
 				continue
 			}
 			batches := splitEntryBatches(buf.take(), entryBatchBytes)
 			for bi, batch := range batches {
-				msg := shardMessage{Worker: w.opts.ID, Campaign: g.Campaign,
-					Shard: g.Shard, Token: g.Token, Entries: batch}
-				code, err := w.post(shardCtx, "/api/v1/heartbeat", msg, nil)
+				err := w.coord.heartbeat(shardCtx, g, batch)
 				if err == nil {
 					continue
 				}
-				if code == http.StatusConflict {
-					w.opts.Logf("xtworker %s: lease on %s/shard%d fenced off; abandoning",
+				if errors.Is(err, ErrLeaseLost) {
+					w.opts.Logf("worker %s: lease on %s/shard%d fenced off; abandoning",
 						w.opts.ID, g.Campaign, g.Shard)
 					fenced.Store(true)
 					cancel()
@@ -349,7 +383,7 @@ func (w *worker) runShard(ctx context.Context, g *LeaseGrant) {
 				// Transient (partition, drain, 5xx): keep this batch and the
 				// unsent remainder for the next beat and keep computing.
 				buf.give(flattenBatches(batches[bi:]))
-				w.opts.Logf("xtworker %s: heartbeat failed (will retry): %v", w.opts.ID, err)
+				w.opts.Logf("worker %s: heartbeat failed (will retry): %v", w.opts.ID, err)
 				break
 			}
 		}
@@ -366,7 +400,6 @@ func (w *worker) runShard(ctx context.Context, g *LeaseGrant) {
 			},
 		}
 	}
-	var itemErr error
 	rs := sched.Run(shardCtx, jobs, sched.Options{
 		Workers: width,
 		OnResult: func(j int, r sched.Result) {
@@ -382,11 +415,10 @@ func (w *worker) runShard(ctx context.Context, g *LeaseGrant) {
 	hbWG.Wait()
 
 	if ctx.Err() != nil {
-		return // worker shutting down; lease ages out, shard requeues
+		w.flush(ctx, g, buf.take())
+		return
 	}
-	if itemErr == nil {
-		itemErr = sched.FirstError(rs)
-	}
+	itemErr := sched.FirstError(rs)
 	if fenced.Load() && itemErr != nil {
 		// Abandoned mid-run by the fenced-off heartbeat loop: the shard is
 		// someone else's now, nothing to send. (itemErr == nil means every
@@ -397,53 +429,57 @@ func (w *worker) runShard(ctx context.Context, g *LeaseGrant) {
 
 	// Completion retries transient failures on the seeded backoff, bounded:
 	// past a handful of attempts the lease has aged out anyway and the shard
-	// will re-run elsewhere. Fencing rejections are permanent.
+	// will re-run elsewhere.
 	policy := w.opts.Retry
 	if policy.Attempts == 0 {
 		policy.Attempts = 8
 	}
-	isPermanentCode := func(code int) bool {
-		return code == http.StatusConflict || (code >= 400 && code < 500 && code != 429)
-	}
 
 	// A long partition can leave more finished entries than one request's
-	// budget. Stream all but the last batch down over /heartbeat first —
-	// those entries journal durably — so the /complete body itself always
+	// budget. Stream all but the last batch down over heartbeats first —
+	// those entries journal durably — so the complete body itself always
 	// fits under the coordinator's cap.
 	batches := splitEntryBatches(buf.take(), entryBatchBytes)
 	for bi, batch := range batches[:len(batches)-1] {
-		hb := shardMessage{Worker: w.opts.ID, Campaign: g.Campaign, Shard: g.Shard,
-			Token: g.Token, Entries: batch}
 		err := retry.Do(ctx, policy, w.opts.Seed+int64(g.Token)+int64(bi), func() error {
-			code, err := w.post(ctx, "/api/v1/heartbeat", hb, nil)
-			if err != nil && isPermanentCode(code) {
-				return retry.Permanent(err)
-			}
-			return err
+			return w.coord.heartbeat(ctx, g, batch)
 		})
 		if err != nil {
-			w.opts.Logf("xtworker %s: draining entries for %s/shard%d token=%d failed: %v",
+			w.opts.Logf("worker %s: draining entries for %s/shard%d token=%d failed: %v",
 				w.opts.ID, g.Campaign, g.Shard, g.Token, err)
 			return
 		}
 	}
 
-	msg := shardMessage{Worker: w.opts.ID, Campaign: g.Campaign, Shard: g.Shard,
-		Token: g.Token, Entries: batches[len(batches)-1]}
+	errMsg := ""
 	if itemErr != nil {
-		msg.Error = itemErr.Error()
+		errMsg = itemErr.Error()
 	}
 	err := retry.Do(ctx, policy, w.opts.Seed+int64(g.Token), func() error {
-		code, err := w.post(ctx, "/api/v1/complete", msg, nil)
-		if err != nil && isPermanentCode(code) {
-			return retry.Permanent(err)
-		}
-		return err
+		return w.coord.complete(ctx, g, batches[len(batches)-1], errMsg)
 	})
 	if err != nil {
-		w.opts.Logf("xtworker %s: complete %s/shard%d token=%d not accepted: %v",
+		w.opts.Logf("worker %s: complete %s/shard%d token=%d not accepted: %v",
 			w.opts.ID, g.Campaign, g.Shard, g.Token, err)
 		return
 	}
-	w.opts.Logf("xtworker %s: completed %s/shard%d token=%d", w.opts.ID, g.Campaign, g.Shard, g.Token)
+	w.opts.Logf("worker %s: completed %s/shard%d token=%d", w.opts.ID, g.Campaign, g.Shard, g.Token)
+}
+
+// flush is the drain path of a cancelled shard: one heartbeat carries the
+// finished entries, on a context detached from the cancelled one and bounded
+// by drainFlushTimeout. A worker with nothing finished sends nothing.
+func (w *worker) flush(ctx context.Context, g *LeaseGrant, entries []journalEntry) {
+	if len(entries) == 0 {
+		return
+	}
+	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drainFlushTimeout)
+	defer cancel()
+	for _, batch := range splitEntryBatches(entries, entryBatchBytes) {
+		if err := w.coord.heartbeat(fctx, g, batch); err != nil {
+			w.opts.Logf("worker %s: draining %d entries for %s/shard%d failed: %v",
+				w.opts.ID, len(entries), g.Campaign, g.Shard, err)
+			return
+		}
+	}
 }

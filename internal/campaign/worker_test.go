@@ -469,6 +469,15 @@ func TestHTTPLeaseEndpoints(t *testing.T) {
 		t.Fatalf("grant malformed: %+v", grant)
 	}
 
+	// The reserved ID is refused on the shard verbs too, even with the live
+	// token: a raw client posting as "local" must not touch the lease.
+	asLocal := fmt.Sprintf(`{"worker":"local","campaign":"%s","shard":0,"token":%d}`, id, grant.Token)
+	for _, path := range []string{"/api/v1/heartbeat", "/api/v1/complete"} {
+		if resp, _ := post(path, asLocal); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s as reserved worker id: %d, want 400", path, resp.StatusCode)
+		}
+	}
+
 	// Heartbeat with one streamed entry.
 	hb := fmt.Sprintf(`{"worker":"w1","campaign":"%s","shard":0,"token":%d,"entries":[{"i":0,"line":{"seed":5,"status":"ok"}}]}`,
 		id, grant.Token)
@@ -623,6 +632,169 @@ func TestBackoffDelayExhaustedFallsBackToPoll(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if d := w.backoffDelay(); d != opts.Poll {
 			t.Fatalf("exhausted delay %v, want poll interval %v", d, opts.Poll)
+		}
+	}
+}
+
+// itemGate lets the first `allow` items finish, then parks every later item
+// until its context dies and closes `reached` as the first parked item
+// starts. With a pool width of 1, `reached` closing means exactly `allow`
+// items have finished and been handed to the worker's entry buffer.
+type itemGate struct {
+	allow   int
+	reached chan struct{}
+
+	mu sync.Mutex
+	n  int
+}
+
+func newItemGate(allow int) *itemGate {
+	return &itemGate{allow: allow, reached: make(chan struct{})}
+}
+
+func (g *itemGate) Run(ctx context.Context, spec *Spec, it Item) (ItemResult, error) {
+	g.mu.Lock()
+	idx := g.n
+	g.n++
+	g.mu.Unlock()
+	if idx < g.allow {
+		return stubRunner{sigFor: func(int64) string { return "" }}.Run(ctx, spec, it)
+	}
+	if idx == g.allow {
+		close(g.reached)
+	}
+	<-ctx.Done()
+	return ItemResult{}, ctx.Err()
+}
+
+// waitReached fails the test if the gate is not reached in time.
+func (g *itemGate) waitReached(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.reached:
+	case <-time.After(60 * time.Second):
+		t.Fatal("runner never reached the gate")
+	}
+}
+
+// journaledItems reopens a state directory with local execution off and
+// reports how many items of the campaign are journaled.
+func journaledItems(t *testing.T, dir, id string) int {
+	t.Helper()
+	e, err := Open(Options{StateDir: dir, DisableLocal: true})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer e.Close()
+	s, ok := e.Get(id)
+	if !ok {
+		t.Fatalf("campaign %s missing after reopen", id)
+	}
+	return s.ItemsDone
+}
+
+// TestLocalDrainJournalsFinishedItems pins the drain contract for the
+// in-process executor: with a lease TTL long enough that no heartbeat fires,
+// Close mid-shard still journals every item that finished.
+func TestLocalDrainJournalsFinishedItems(t *testing.T) {
+	dir := t.TempDir()
+	gate := newItemGate(2)
+	e, err := Open(Options{StateDir: dir, Jobs: 1, LeaseTTL: time.Minute, Runner: gate})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	id, err := e.Submit(&Spec{Tool: "fuzz", Knobs: cliflags.Knobs{N: 5, Seed: 1}})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	gate.waitReached(t)
+	e.Close()
+	if n := journaledItems(t, dir, id); n != 2 {
+		t.Fatalf("journaled %d items after drain, want 2", n)
+	}
+}
+
+// countingHandler counts the worker-protocol requests that reach the
+// coordinator, by path.
+type countingHandler struct {
+	inner http.Handler
+
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	c.mu.Lock()
+	if c.n == nil {
+		c.n = make(map[string]int)
+	}
+	c.n[r.URL.Path]++
+	c.mu.Unlock()
+	c.inner.ServeHTTP(w, r)
+}
+
+func (c *countingHandler) count(path string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[path]
+}
+
+// drainWorker runs one HTTP worker with the given runner against a pure
+// coordinator whose lease TTL is long enough that no heartbeat fires,
+// cancels it once the runner reports the gate reached, and waits for
+// RunWorker to return. It returns the state directory, campaign ID and
+// request counter.
+func drainWorker(t *testing.T, runner Runner, reached func(*testing.T)) (string, string, *countingHandler) {
+	t.Helper()
+	dir := t.TempDir()
+	e, err := Open(Options{StateDir: dir, DisableLocal: true, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer e.Close()
+	h := &countingHandler{inner: NewHandler(e)}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	id, err := e.Submit(&Spec{Tool: "fuzz", Knobs: cliflags.Knobs{N: 5, Seed: 1}})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		RunWorker(ctx, WorkerOptions{Coordinator: srv.URL, ID: "w-drain", Jobs: 1,
+			Runner: runner, Poll: 20 * time.Millisecond, Seed: 5, Logf: t.Logf})
+	}()
+	reached(t)
+	cancel()
+	<-done
+	return dir, id, h
+}
+
+// TestRemoteDrainJournalsFinishedItems: a cancelled worker (a SIGTERMed
+// xtworker) hands its finished entries over in one last heartbeat instead
+// of dropping them.
+func TestRemoteDrainJournalsFinishedItems(t *testing.T) {
+	gate := newItemGate(2)
+	dir, id, h := drainWorker(t, gate, gate.waitReached)
+	if n := h.count("/api/v1/heartbeat"); n != 1 {
+		t.Fatalf("drain sent %d heartbeats, want 1", n)
+	}
+	if n := journaledItems(t, dir, id); n != 2 {
+		t.Fatalf("journaled %d items after worker drain, want 2", n)
+	}
+}
+
+// TestDrainWithoutResultsSendsNothing: a cancelled worker with no finished
+// item (chaos worker A's shape) makes no request on its way out.
+func TestDrainWithoutResultsSendsNothing(t *testing.T) {
+	gate := newItemGate(0)
+	_, _, h := drainWorker(t, gate, gate.waitReached)
+	for _, path := range []string{"/api/v1/heartbeat", "/api/v1/complete"} {
+		if n := h.count(path); n != 0 {
+			t.Fatalf("%s: %d requests from a drained worker with no results, want 0", path, n)
 		}
 	}
 }

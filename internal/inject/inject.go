@@ -248,7 +248,7 @@ func runFault(ctx context.Context, f Fault, prog *asm.Program, maxCycles uint64)
 	// unavailable (empty ROB, no valid L1D lines yet).
 	injected := false
 	for retry := 0; !injected && !s.Done() && retry < 4096; retry++ {
-		c := s.Core()
+		c := s.Hart(0).Core()
 		switch f.Target {
 		case TargetArchReg:
 			injected = c.InjectArchRegBit(f.Reg, f.Bit)
@@ -293,7 +293,7 @@ func runFault(ctx context.Context, f Fault, prog *asm.Program, maxCycles uint64)
 		if f.Target == TargetCache || f.Target == TargetMem {
 			// the written-line sweep does not cover untouched bytes: check the
 			// faulted byte itself to expose genuinely silent corruption
-			if s.Core().Mem.LoadByte(fr.FaultAddr) != s.Emu().Mem.LoadByte(fr.FaultAddr) {
+			if s.Hart(0).Core().Mem.LoadByte(fr.FaultAddr) != s.Hart(0).Emu().Mem.LoadByte(fr.FaultAddr) {
 				fr.Outcome = Silent
 			}
 		}
